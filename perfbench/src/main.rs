@@ -32,7 +32,7 @@ use measure::{iqr_share, median, ratio};
 /// Seed used when `--seed` is not given.
 const DEFAULT_SEED: u64 = 1;
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 5;
+const SETUP_REPEATS: usize = 9;
 
 const WORKLOADS: [&str; 4] = [
     "handshake_matrix",
@@ -112,7 +112,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workload: String::new(),
         seed: DEFAULT_SEED,
-        seconds: 25.0,
+        seconds: 40.0,
         trace: false,
         record: None,
     };
@@ -208,7 +208,8 @@ fn main() -> ExitCode {
     }
     let mut w = built.expect("at least one set-up ran");
 
-    // Timed section: whole passes until the budget is spent. A traced
+    // Timed section: whole passes while another round still fits in the
+    // budget, so a run never outlasts `--seconds` by a pass. A traced
     // run alternates untraced and traced passes, so the tracing overhead
     // is measured under the same conditions.
     let sink = Arc::new(ProfileSink::new());
@@ -216,11 +217,13 @@ fn main() -> ExitCode {
     let (mut plain, mut traced) = (Vec::new(), Vec::new());
     let start = Instant::now();
     loop {
+        let round = Instant::now();
         plain.push(w.pass(&runner, false));
         if args.trace {
             traced.push(w.pass(&traced_runner, true));
         }
-        if start.elapsed().as_secs_f64() >= args.seconds {
+        let round_s = round.elapsed().as_secs_f64();
+        if start.elapsed().as_secs_f64() + round_s > args.seconds {
             break;
         }
     }
